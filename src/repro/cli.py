@@ -57,9 +57,9 @@ def _flow(name: str, effort: float):
     return cls(effort=effort)
 
 
-def _app(name: str):
+def _app(name: str, tracer=None):
     from repro.rosetta import get_app
-    return get_app(name)
+    return get_app(name, tracer=tracer)
 
 
 def cmd_apps(_args) -> int:
@@ -244,8 +244,8 @@ def cmd_edit(args) -> int:
     """The incremental loop demo: warm compile, one edit, delta reload."""
     from repro.core import touch_spec, format_incremental_report
 
-    app = _app(args.app)
     tracer = _tracer(args)
+    app = _app(args.app, tracer)
     service = _service(args, tracer)
     session = service.open_session(effort=args.effort)
     try:
@@ -290,7 +290,7 @@ def cmd_run(args) -> int:
         service.close()
     build = outcome.build
     host = HostProgram(build, tracer=tracer)
-    outputs = host.run(_app(args.app).project.sample_inputs)
+    outputs = host.run(_app(args.app, tracer).project.sample_inputs)
     for name, tokens in outputs.items():
         preview = tokens[:8]
         suffix = " ..." if len(tokens) > 8 else ""

@@ -14,6 +14,7 @@ import hashlib
 import json
 import pickle
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -60,10 +61,69 @@ def _stable(obj) -> object:
     raise BuildError(f"unhashable build input of type {type(obj).__name__}")
 
 
+#: id(spec) -> (that OperatorSpec object's canonical JSON text, the
+#: content keys already computed with it).  Each entry is removed by a
+#: ``weakref.finalize`` when its spec is collected, so the map only
+#: ever holds live specs; an edited copy (``dataclasses.replace``) is a
+#: new object and starts without one.  Sound because specs are never
+#: mutated in place once built.
+_ENCODINGS: Dict[int, Tuple[str, Dict[Tuple, str]]] = {}
+
+
+def _spec_entry(spec: OperatorSpec) -> Tuple[str, Dict[Tuple, str]]:
+    entry = _ENCODINGS.get(id(spec))
+    if entry is None:
+        entry = (json.dumps(_stable(spec), sort_keys=True), {})
+        _ENCODINGS[id(spec)] = entry
+        weakref.finalize(spec, _ENCODINGS.pop, id(spec), None)
+    return entry
+
+
+def _encode(obj) -> str:
+    """``json.dumps(_stable(obj), sort_keys=True)``, computed once per
+    OperatorSpec object.
+
+    Lists and tuples are joined from their items' encodings with the
+    separators ``json.dumps`` uses, so the text is byte-identical to
+    encoding the whole structure at once.
+    """
+    if isinstance(obj, OperatorSpec):
+        return _spec_entry(obj)[0]
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_encode(item) for item in obj) + "]"
+    return json.dumps(_stable(obj), sort_keys=True)
+
+
+#: Cap on the keys memoized per spec.  Registry specs live as long as
+#: the process, and each distinct (effort, seed, ...) a client sends
+#: adds a key, so a long-lived daemon's memo must stay bounded.
+MEMO_KEYS_PER_SPEC = 64
+
+
 def content_key(*parts) -> str:
-    """Hash arbitrary build inputs into a cache key."""
-    payload = json.dumps(_stable(list(parts)), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+    """Hash arbitrary build inputs into a cache key.
+
+    A step's parts are one operator spec plus a few scalars.  The key
+    is memoized on the spec's entry under the spec's positions and the
+    encoding of the other parts, so a warm step does not re-hash the
+    spec's (possibly ~100 KB) text.
+    """
+    spec = next((p for p in parts if isinstance(p, OperatorSpec)), None)
+    if spec is None:
+        return _digest(parts)
+    slot = (tuple(i for i, p in enumerate(parts) if p is spec),
+            _encode(tuple(None if p is spec else p for p in parts)))
+    memo = _spec_entry(spec)[1]
+    key = memo.get(slot)
+    if key is None:
+        if len(memo) >= MEMO_KEYS_PER_SPEC:
+            memo.clear()
+        key = memo[slot] = _digest(parts)
+    return key
+
+
+def _digest(parts) -> str:
+    return hashlib.sha256(_encode(parts).encode()).hexdigest()[:24]
 
 
 class BuildCache:

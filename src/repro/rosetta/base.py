@@ -8,7 +8,9 @@ six kernels stay readable.
 
 from __future__ import annotations
 
+import importlib
 import random
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -17,6 +19,7 @@ from repro.dataflow.graph import DataflowGraph, Operator
 from repro.hls.frontend import OperatorBuilder
 from repro.hls.interp import make_body
 from repro.core.project import Project
+from repro.trace import NULL_TRACER
 
 #: Popcount lookup table for one byte.
 POPCOUNT8 = tuple(bin(i).count("1") for i in range(256))
@@ -117,30 +120,53 @@ def raw_to_fix(raw: int, frac_bits: int = 16) -> float:
 
 # -- registry -----------------------------------------------------------------
 
+#: App name -> the module whose ``build()`` makes it, in the order
+#: :func:`all_apps` lists them.
+APP_MODULES = {
+    "3d-rendering": "rendering",
+    "digit-recognition": "digit_recognition",
+    "spam-filter": "spam_filter",
+    "optical-flow": "optical_flow",
+    "face-detection": "face_detection",
+    "bnn": "bnn",
+}
+
+#: The per-process registry: each app is built once, on first use, and
+#: then shared by every caller (CLI verbs, every daemon request and
+#: tenant).  Sharing is sound because nothing mutates an app: edits go
+#: through copies (:meth:`Project.with_spec`, ``touch_spec``).
+_BUILT: Dict[str, RosettaApp] = {}
+_BUILD_LOCK = threading.Lock()
+
 
 def all_apps() -> Dict[str, RosettaApp]:
-    """Build every Rosetta app at sample scale."""
-    from repro.rosetta import (
-        bnn,
-        digit_recognition,
-        face_detection,
-        optical_flow,
-        rendering,
-        spam_filter,
-    )
-
-    apps = [rendering.build(), digit_recognition.build(),
-            spam_filter.build(), optical_flow.build(),
-            face_detection.build(), bnn.build()]
-    return {app.name: app for app in apps}
+    """Every Rosetta app at sample scale, built once per process."""
+    return {name: get_app(name) for name in APP_MODULES}
 
 
-def get_app(name: str) -> RosettaApp:
-    apps = all_apps()
-    if name not in apps:
+def get_app(name: str, tracer=None) -> RosettaApp:
+    """The named app, built on first use and shared afterwards.
+
+    ``tracer`` (optional) records an ``app:<name>`` wall span with a
+    ``cache=hit|miss`` attribute.
+    """
+    if name not in APP_MODULES:
         raise FlowError(
-            f"unknown Rosetta app {name!r}; have {sorted(apps)}")
-    return apps[name]
+            f"unknown Rosetta app {name!r}; have {sorted(APP_MODULES)}")
+    tracer = tracer if tracer is not None else NULL_TRACER
+    with tracer.span(f"app:{name}", category="app") as span:
+        app = _BUILT.get(name)
+        built = False
+        if app is None:
+            with _BUILD_LOCK:
+                app = _BUILT.get(name)      # a racing caller built it
+                if app is None:
+                    module = importlib.import_module(
+                        f"repro.rosetta.{APP_MODULES[name]}")
+                    app = _BUILT[name] = module.build()
+                    built = True
+        span.set(cache="miss" if built else "hit")
+    return app
 
 
 def deterministic_rng(tag: str) -> random.Random:

@@ -678,16 +678,19 @@ class CompileService:
                 request = replace(request, flow="o0")
                 brownout = True
                 self.admission.note_routed()
-            entry = self.scheduler.submit(
-                request.tenant, cost=request.cost,
-                priority=request.priority, deadline_at=deadline_at)
-        with self._lock:
-            self._counter += 1
-            ticket = Ticket(f"t{self._counter:04d}", request, entry.seq)
-            ticket.brownout = brownout
-            self._tickets[ticket.id] = ticket
-            self._by_seq[entry.seq] = ticket
-            self._wake.notify_all()
+            # Enqueue and register under one lock, so the dispatcher
+            # never acquires an entry whose ticket it cannot find yet.
+            with self._lock:
+                entry = self.scheduler.submit(
+                    request.tenant, cost=request.cost,
+                    priority=request.priority, deadline_at=deadline_at)
+                self._counter += 1
+                ticket = Ticket(f"t{self._counter:04d}", request,
+                                entry.seq)
+                ticket.brownout = brownout
+                self._tickets[ticket.id] = ticket
+                self._by_seq[entry.seq] = ticket
+                self._wake.notify_all()
         self._gc_tickets()
         self.tracer.instant(f"submit:{ticket.id}", category="service",
                             lane=f"tenant:{request.tenant}",
@@ -786,7 +789,9 @@ class CompileService:
             raise ServiceError(
                 f"request {ticket_id} still {ticket.state} after "
                 f"{timeout:g}s", kind="timeout")
-        ticket.delivered = True
+        with self._lock:
+            ticket.delivered = True
+            self._wake.notify_all()
         self._gc_tickets()
         if ticket.error is not None:
             raise ticket.error
@@ -860,7 +865,7 @@ class CompileService:
 
     def _app(self, name: str):
         from repro.rosetta import get_app
-        return get_app(name)
+        return get_app(name, tracer=self.tracer)
 
     def _execute(self, ticket: Ticket) -> RequestOutcome:
         req = ticket.request
@@ -1021,20 +1026,30 @@ class CompileService:
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until nothing is queued or running (True), or the
-        timeout passes (False)."""
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        while True:
-            if self._closed:
-                return False
+        timeout passes or the service closes (False)."""
+        def idle() -> bool:
             s = self.scheduler.stats()
-            with self._lock:
-                active = len(self._active)
-            if s["queued"] == 0 and s["running"] == 0 and active == 0:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.05)
+            return s["queued"] == 0 and s["running"] == 0 \
+                and not self._active
+        return self._wait_for(idle, timeout)
+
+    def wait_delivered(self, timeout: float) -> bool:
+        """Block until every finished ticket's result has been
+        collected through :meth:`result` (True), or the timeout passes
+        or the service closes (False).  A drain calls it after
+        :meth:`wait_idle`, so clients still collecting finished work
+        get their results."""
+        return self._wait_for(
+            lambda: all(t.delivered for t in self._tickets.values()
+                        if t.finished is not None), timeout)
+
+    def _wait_for(self, predicate, timeout: Optional[float]) -> bool:
+        # _run_ticket, result() and close() notify _wake after every
+        # change that can make a predicate true or close the service.
+        with self._wake:
+            return self._wake.wait_for(
+                lambda: self._closed or predicate(), timeout) \
+                and not self._closed
 
     # -- introspection / lifecycle -------------------------------------------
 

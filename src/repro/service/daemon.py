@@ -92,6 +92,10 @@ DEFAULT_RECONCILE_INTERVAL = 2.0
 #: accumulating (completion itself still wakes the waiter instantly).
 DISCONNECT_POLL_SECONDS = 0.1
 
+#: How long a drain waits, once the backlog is empty, for clients to
+#: collect finished results and for their replies to be written.
+DRAIN_DELIVERY_GRACE = 5.0
+
 
 class _ClientDisconnected(Exception):
     """Internal: a ``result`` waiter's client hung up mid-wait; the
@@ -210,6 +214,9 @@ class ServeDaemon:
         #: mark) — each costs one asyncio.Event, never a thread.
         self.waiters = 0
         self.peak_waiters = 0
+        #: Requests read but not yet answered; a drain lets them finish.
+        self.inflight = 0
+        self._replied = asyncio.Event()
 
     # -- helpers -------------------------------------------------------------
 
@@ -363,6 +370,31 @@ class ServeDaemon:
 
     # -- connection loop -----------------------------------------------------
 
+    async def _dispatch(self, header, payload, reader):
+        """Run one request's op handler; every failure but a client
+        disconnect becomes an error reply."""
+        op = header.get("op", "")
+        handler = getattr(self, f"_op_{op}", None) \
+            if isinstance(op, str) else None
+        if handler is None:
+            return {"ok": False, "error": f"unknown op {op!r}",
+                    "kind": "bad-request"}, b""
+        try:
+            return await handler(header, payload, reader)
+        except PLDError as exc:
+            return error_to_wire(exc), b""
+        except (ValueError, TypeError, KeyError) as exc:
+            # A malformed header the op-specific coercions missed: the
+            # *request* is bad, the connection is fine — answer and
+            # keep serving it.
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+                    "kind": "bad-request"}, b""
+        except _ClientDisconnected:
+            raise
+        except Exception as exc:
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+                    "kind": "internal"}, b""
+
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         self.connections += 1
@@ -399,45 +431,17 @@ class ServeDaemon:
                 except asyncio.CancelledError:
                     break                 # server closing this connection
                 self.requests += 1
-                op = header.get("op", "")
-                handler = getattr(self, f"_op_{op}", None) \
-                    if isinstance(op, str) else None
-                if handler is None:
-                    response: Dict[str, Any] = {
-                        "ok": False,
-                        "error": f"unknown op {op!r}",
-                        "kind": "bad-request"}
-                    body = b""
-                else:
-                    try:
-                        response, body = await handler(header, payload,
-                                                       reader)
-                    except _ClientDisconnected:
-                        break
-                    except PLDError as exc:
-                        response, body = error_to_wire(exc), b""
-                    except asyncio.CancelledError:
-                        raise
-                    except (ValueError, TypeError, KeyError) as exc:
-                        # A malformed header the op-specific coercions
-                        # missed: the *request* is bad, the connection
-                        # is fine — answer and keep serving it.
-                        response = {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "kind": "bad-request"}
-                        body = b""
-                    except Exception as exc:
-                        response = {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "kind": "internal"}
-                        body = b""
+                self.inflight += 1
                 try:
+                    response, body = await self._dispatch(header, payload,
+                                                          reader)
                     await send_frame_async(writer, response, body,
                                            timeout=self.frame_timeout)
-                except PLDError:
-                    break
+                except (_ClientDisconnected, PLDError):
+                    break                 # client gone / reply undeliverable
+                finally:
+                    self.inflight -= 1
+                    self._replied.set()
         finally:
             self.active_connections -= 1
             writer.close()
@@ -515,6 +519,19 @@ class ServeDaemon:
 
     async def _drain_then_stop(self) -> None:
         await self._call(self.service.wait_idle)
+        # The backlog is empty, but clients may still be collecting
+        # finished results: give them a bounded grace to ask, and let
+        # replies already being answered reach the wire.
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + DRAIN_DELIVERY_GRACE
+        await self._call(self.service.wait_delivered, DRAIN_DELIVERY_GRACE)
+        while self.inflight and loop.time() < deadline:
+            self._replied.clear()
+            try:
+                await asyncio.wait_for(self._replied.wait(),
+                                       deadline - loop.time())
+            except asyncio.TimeoutError:
+                break
         self._stopping.set()
 
     def request_drain(self) -> None:

@@ -566,6 +566,41 @@ class TestDrain:
             release.set()
             svc.close()
 
+    def test_close_wakes_a_blocked_wait_idle(self):
+        svc = CompileService(ServiceConfig(slots=1))
+        release = threading.Event()
+        svc._execute = lambda ticket: release.wait(30) or (_ for _ in
+                                                           ()).throw(
+            ServiceError("stop"))
+        svc.submit(CompileRequest(app=APP, flow="o0"))
+        result = []
+        waiter = threading.Thread(
+            target=lambda: result.append(svc.wait_idle()))
+        waiter.start()
+        try:
+            time.sleep(0.1)
+            svc.close(timeout=0.2)
+            waiter.join(timeout=10)
+            assert result == [False]
+        finally:
+            release.set()
+
+    def test_wait_delivered_waits_for_result_collection(self):
+        svc = _NoopFlowService(ServiceConfig(slots=1))
+        try:
+            ticket = svc.submit(CompileRequest(app=APP, flow="o0"))
+            assert svc.wait_idle(timeout=30)
+            assert not svc.wait_delivered(timeout=0.2)
+            collector = threading.Timer(
+                0.1, lambda: svc.result(ticket, timeout=1))
+            collector.start()
+            start = time.monotonic()
+            assert svc.wait_delivered(timeout=30)
+            assert time.monotonic() - start < 10
+            collector.join()
+        finally:
+            svc.close()
+
     def test_stats_reports_draining_and_admission(self):
         with CompileService(ServiceConfig(slots=1,
                                           max_queued=8)) as svc:
