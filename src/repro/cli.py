@@ -40,7 +40,6 @@ from repro.core import (
     format_performance_table,
 )
 from repro.core.flows import FLOWS
-from repro.platform import HostProgram
 
 DEFAULT_SERVER = "127.0.0.1:7411"
 
@@ -243,6 +242,7 @@ def cmd_store(args) -> int:
 def cmd_edit(args) -> int:
     """The incremental loop demo: warm compile, one edit, delta reload."""
     from repro.core import touch_spec, format_incremental_report
+    from repro.platform import HostProgram
 
     tracer = _tracer(args)
     app = _app(args.app, tracer)
@@ -281,6 +281,8 @@ def cmd_edit(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.platform import HostProgram
+
     _apply_sim_engine(args)
     tracer = _tracer(args)
     service = _service(args, tracer)
@@ -384,7 +386,7 @@ def cmd_serve(args) -> int:
 
 
 def _service_client(args):
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     server = getattr(args, "server", DEFAULT_SERVER)
     host, _, port = server.rpartition(":")

@@ -26,7 +26,7 @@ Flow summary:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import CapacityError, FlowError, RetryExhaustedError
 from repro.dataflow.graph import (
@@ -35,8 +35,6 @@ from repro.dataflow.graph import (
     TARGET_HW,
     TARGET_RISCV,
 )
-from repro.dataflow.simulator import FunctionalSimulator
-from repro.dataflow.cycle_sim import CycleSimulator
 from repro.fabric.bitstream import Bitstream
 from repro.fabric.device import XCU50
 from repro.simengine import resolve_engine
@@ -55,13 +53,16 @@ from repro.pnr.compile_model import (
     StageTimes,
     implement_design,
 )
-from repro.softcore.compiler import CompiledOperator, compile_operator
-from repro.softcore.elf import pack_binary
 from repro.trace import NULL_TRACER
 from repro.core.build import BatchStep, BuildEngine
 from repro.core.cluster import CompileCluster, Job
 from repro.core.dfg import extract_dfg
 from repro.core.project import Project
+
+if TYPE_CHECKING:
+    # The softcore and the simulators are imported where they run: a
+    # warm all-HW compile never touches them.
+    from repro.softcore.compiler import CompiledOperator
 
 #: LUTs of one PicoRV32 softcore (Sec. 5.1: ~2K with the multiplier).
 PICORV_LUTS = 2_000
@@ -182,6 +183,8 @@ class FlowBuild:
         """
         if self._exec_graph is None:
             raise FlowError("build has no executable graph")
+        from repro.dataflow.simulator import FunctionalSimulator
+
         sim = FunctionalSimulator(self._exec_graph)
         return sim.run(inputs)
 
@@ -458,6 +461,8 @@ def _overlay_bitstream(overlay: Overlay) -> Bitstream:
 def _softcore_page_image(page: Page, compiled: CompiledOperator,
                          digest: str = "") -> Bitstream:
     """The RISC-V page L2 image plus the packed program payload."""
+    from repro.softcore.elf import pack_binary
+
     payload = pack_binary(compiled, page.number).serialize()
     return Bitstream(f"page_{page.number}_riscv.xclbin",
                      PICORV_LUTS + tech.LEAF_INTERFACE_LUTS,
@@ -501,6 +506,8 @@ def _profile_softcores(build_graph: DataflowGraph,
                        inputs: Dict[str, List[int]],
                        telemetry: Dict[str, object]) -> Dict[str, int]:
     """Run once functionally and collect ISS cycles per softcore op."""
+    from repro.dataflow.simulator import FunctionalSimulator
+
     telemetry.clear()
     sim = FunctionalSimulator(build_graph)
     sim.run({name: list(tokens) for name, tokens in inputs.items()})
@@ -575,6 +582,8 @@ class O1Flow:
         # engine this is the same serial loop as before, while a
         # ParallelBuildEngine fans the cache misses out to workers.
         front_steps: List[BatchStep] = []
+        if any(op.target != TARGET_HW for op in graph.operators.values()):
+            from repro.softcore.compiler import compile_operator
         for name, op in graph.operators.items():
             if op.target == TARGET_HW:
                 front_steps.append(BatchStep(
@@ -721,6 +730,8 @@ class O1Flow:
                 f"{schedule_result.attempts.get(name, 0)} attempts; "
                 f"remapped to -O0 softcore")
         remapped: Dict[str, str] = {}
+        if degraded:
+            from repro.softcore.compiler import compile_operator
         for name, reason in degraded.items():
             op = graph.operators[name]
             page = self.overlay.page(page_of[name])
@@ -1055,6 +1066,7 @@ class O3Flow:
         hardware — the "care to set the buffer sizes appropriately"
         the paper calls out.
         """
+        from repro.dataflow.cycle_sim import CycleSimulator
         from repro.errors import DeadlockError
 
         sim = CycleSimulator(project.graph,

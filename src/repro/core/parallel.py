@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Iterable, List, Optional, Tuple,
+                    Union)
 
 from repro.errors import BuildError
 from repro.core.build import BatchStep, BuildEngine, content_key
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def _run_step(fn, args, kwargs):
@@ -74,6 +76,10 @@ class ParallelBuildEngine(BuildEngine):
     # -- pool lifecycle ----------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
+        # Imported here: only a batch with misses and ``workers > 1``
+        # needs ``multiprocessing``, so a serial engine never loads it.
+        from concurrent.futures import ProcessPoolExecutor
+
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
             self._owns_pool = True
@@ -144,6 +150,8 @@ class ParallelBuildEngine(BuildEngine):
         return results
 
     def _gather(self, misses, results) -> None:
+        from concurrent.futures.process import BrokenProcessPool
+
         # Supervision gates fire before any work ships: an expired
         # deadline or an open breaker fails the batch with no futures
         # in flight, and the journal records every step about to build.

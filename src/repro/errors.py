@@ -100,6 +100,10 @@ class StoreError(BuildError):
     """The artifact store hit a serialization or integrity problem."""
 
 
+class StaleFormatError(StoreError):
+    """A stored artifact was written in another store format version."""
+
+
 class TransportError(StoreError):
     """A remote-store request failed at the transport layer.
 

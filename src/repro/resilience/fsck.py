@@ -13,7 +13,8 @@ accumulate, and a store shared by several processes deserves a doctor.
 * reaps every orphan ``.tmp`` file under ``objects/``;
 * re-reads and re-hashes every ``.art`` object, removing any that fail
   the integrity check (the content-addressed heal: the next build
-  simply rebuilds that key);
+  simply rebuilds that key).  An object written in another store format
+  version is removed too, but counted as stale-format, not corrupt;
 * repairs the journal — truncates the torn tail and drops completion
   records whose object no longer exists, so ``--resume`` never skips a
   step it cannot reuse.
@@ -57,6 +58,7 @@ class FsckReport:
     objects_checked: int = 0
     orphan_tmps_removed: int = 0
     corrupt_objects_removed: int = 0
+    stale_format_objects_removed: int = 0
     journal_bytes_truncated: int = 0
     journal_entries_dropped: int = 0
     #: Human-readable log of every repair action, in order.
@@ -65,6 +67,7 @@ class FsckReport:
     @property
     def defects_found(self) -> int:
         return (self.orphan_tmps_removed + self.corrupt_objects_removed
+                + self.stale_format_objects_removed
                 + self.journal_entries_dropped
                 + (1 if self.journal_bytes_truncated else 0))
 
@@ -99,7 +102,7 @@ def fsck_store(cache_dir, lock_timeout: float = 30.0,
     """
     # Imported lazily: repro.store pulls in repro.core.build, and fsck
     # must stay importable from the bare resilience package.
-    from repro.errors import StoreError
+    from repro.errors import StaleFormatError, StoreError
     from repro.store.serial import decode_artifact
 
     root = pathlib.Path(cache_dir)
@@ -126,19 +129,24 @@ def fsck_store(cache_dir, lock_timeout: float = 30.0,
             for path in sorted(objects.glob("*/*.art")):
                 report.objects_checked += 1
                 try:
-                    data = path.read_bytes()
-                    decode_artifact(data, expect_key=path.stem)
+                    decode_artifact(path.read_bytes(), expect_key=path.stem)
+                    continue
+                except StaleFormatError as exc:
+                    what, reason = "stale-format", str(exc)
                 except StoreError as exc:
-                    try:
-                        path.unlink()
-                        report.corrupt_objects_removed += 1
-                        report.actions.append(
-                            f"removed corrupt object {path.stem} "
-                            f"({exc})")
-                    except OSError:
-                        pass
+                    what, reason = "corrupt", str(exc)
                 except OSError:
                     continue           # vanished underfoot: nothing to do
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                if what == "corrupt":
+                    report.corrupt_objects_removed += 1
+                else:
+                    report.stale_format_objects_removed += 1
+                report.actions.append(
+                    f"removed {what} object {path.stem} ({reason})")
 
         # 3. Journal: truncate the torn tail, drop stale completions.
         jpath = journal_path(root)

@@ -15,6 +15,8 @@ popcounts and adds only.
 
 from __future__ import annotations
 
+import math
+import struct
 from typing import Dict, List, Tuple
 
 from repro.dataflow.graph import DataflowGraph
@@ -49,22 +51,52 @@ PAPER_TOKENS = PAPER_TESTS * PAPER_DIGIT_WORDS
 
 def _training_shard(stage: int, shard: int, words: int
                     ) -> Tuple[List[int], List[int]]:
-    """Deterministic synthetic training data: (packed words, labels)."""
+    """Deterministic synthetic training data: (packed words, labels).
+
+    Bit ``i`` of word ``w`` of vector ``v`` is set when the next draw
+    of ``random() < density`` holds, drawn in (vector, word, bit) order
+    from the stage's RNG.  The draws are taken in bulk, bit-identically:
+
+    * ``random()`` consumes two MT19937 words ``a``, ``b`` and returns
+      ``x / 2**53`` with ``x = (a >> 5) << 26 | (b >> 6)``, an exact
+      float.  ``getrandbits(64 * n)`` consumes the same ``2n`` words in
+      the same order and packs them least-significant word first.
+    * ``density * 2**53`` is exact (a power-of-two scaling), so
+      ``x / 2**53 < density`` holds exactly when the integer ``x`` is
+      below ``threshold = ceil(density * 2**53)``.
+    * ``x`` and ``threshold`` are below ``2**53``, and the top byte of
+      ``x`` (bits 45..52) is the top byte of ``a``.  A top byte below
+      the threshold's sets the bit and one above clears it, so a
+      ``bytes.translate`` over those bytes decides every draw except
+      the equal ones (1 in 256), which get the exact compare.
+    """
     rng = deterministic_rng(f"digit-train-{stage}")
-    data: List[int] = []
-    labels: List[int] = []
-    for vec in range(shard):
-        label = (stage + vec) % 10
-        # Each class has a distinct bit density so KNN is meaningful.
-        density = 0.2 + 0.06 * label
-        for _w in range(words):
-            word = 0
-            for bit in range(32):
-                if rng.random() < density:
-                    word |= 1 << bit
-            data.append(word)
-        labels.append(label)
-    return data, labels
+    bits = 32 * words
+    raw = rng.getrandbits(64 * shard * bits).to_bytes(8 * shard * bits,
+                                                       "little")
+    tops = raw[3::8]                    # the top byte of each draw's a
+    labels = [(stage + vec) % 10 for vec in range(shard)]
+    # Each class has a distinct bit density so KNN is meaningful.
+    thresholds = [math.ceil((0.2 + 0.06 * label) * 2 ** 53)
+                  for label in range(10)]
+    # Top byte below, equal to or above the threshold's: b"1", b"=", b"0".
+    tables = [b"1" * (t >> 45) + b"=" + b"0" * (255 - (t >> 45))
+              for t in thresholds]
+    decided = bytearray(b"".join([
+        tops[vec * bits:(vec + 1) * bits].translate(tables[label])
+        for vec, label in enumerate(labels)]))
+    tie = decided.find(b"=")
+    while tie >= 0:
+        at = 8 * tie
+        x = ((int.from_bytes(raw[at:at + 4], "little") >> 5) << 26
+             | int.from_bytes(raw[at + 4:at + 8], "little") >> 6)
+        decided[tie] = 49 if x < thresholds[labels[tie // bits]] else 48
+        tie = decided.find(b"=", tie)
+    # Draw k is bit k of the shard: word w holds draws 32w .. 32w+31.
+    packed = int(decided[::-1] or b"0", 2)
+    data = struct.unpack(f"<{shard * words}I",
+                         packed.to_bytes(4 * shard * words, "little"))
+    return list(data), labels
 
 
 def _unpack(tests: int, words: int):

@@ -8,6 +8,10 @@ it over TCP to many tenants at once (see DESIGN.md §13).  The
 :mod:`~repro.service.overload` layer keeps the daemon alive under a
 tenant flood: admission control, class-aware shedding, brownout and
 zero-downtime drain (DESIGN.md §16).
+
+The transport modules are not re-exported, so an in-process command
+never imports them: the daemon is :mod:`repro.service.daemon` and its
+client :mod:`repro.service.client`.
 """
 
 from repro.service.core import (
@@ -29,7 +33,6 @@ from repro.service.scheduler import (
     RequestScheduler,
     ScheduledRequest,
 )
-from repro.service.client import ServiceClient
 
 __all__ = [
     "AGING_ROUNDS",
@@ -42,7 +45,6 @@ __all__ = [
     "SHED_BATCH_FRACTION",
     "SHED_INTERACTIVE_FRACTION",
     "ScheduledRequest",
-    "ServiceClient",
     "ServiceConfig",
     "TokenBucket",
     "dedup_summary",

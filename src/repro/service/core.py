@@ -37,9 +37,8 @@ import pathlib
 import socket
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.errors import ServiceError, StoreError
 from repro.core import (
@@ -52,6 +51,9 @@ from repro.core.flows import FLOWS
 from repro.service.overload import AdmissionController
 from repro.service.scheduler import RequestScheduler
 from repro.trace import NULL_TRACER
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Subdirectory of the state dir holding one directory per leased
 #: session (journal + lease file).
@@ -303,6 +305,8 @@ class CompileService:
     def _shared_pool(self) -> Optional[ProcessPoolExecutor]:
         if not self.config.workers or self.config.workers <= 1:
             return None
+        from concurrent.futures import ProcessPoolExecutor
+
         with self._lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(

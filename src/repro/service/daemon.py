@@ -39,7 +39,7 @@ With ``--store`` the daemon fronts a shard fleet: the service's
 :class:`~repro.store.remote.ShardedStoreClient` is shared with build
 workers, while the daemon's own traffic — periodic write-behind
 reconciles, the final reconcile-on-close, per-shard health probes for
-``stats`` — rides an :class:`~repro.store.remote.AsyncShardedStoreClient`
+``stats`` — rides an :class:`~repro.store.remote.aio.AsyncShardedStoreClient`
 facade natively on the loop.  Tenant tokens (``--token T=SECRET``)
 gate ``submit`` with ``kind="auth"`` errors so per-tenant quotas
 cannot be bypassed by lying about the tenant field.

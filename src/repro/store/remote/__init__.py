@@ -9,12 +9,12 @@ deadlines, bounded retries with backoff + jitter, per-shard circuit
 breakers with quarantine and half-open probes, hedged reads, and a
 degraded mode where a dead shard means slower compiles (local cache
 misses), never failed ones.
+
+The asyncio facade lives in :mod:`repro.store.remote.aio` and is not
+re-exported here: a client that only reads or writes a few objects
+must not pay for importing ``asyncio``.
 """
 
-from repro.store.remote.aio import (
-    AsyncShardClient,
-    AsyncShardedStoreClient,
-)
 from repro.store.remote.client import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_QUARANTINE_SECONDS,
@@ -34,8 +34,6 @@ from repro.store.remote.framing import (
 from repro.store.remote.server import StoreServer, serve_forever
 
 __all__ = [
-    "AsyncShardClient",
-    "AsyncShardedStoreClient",
     "DEFAULT_BACKOFF_BASE",
     "DEFAULT_QUARANTINE_SECONDS",
     "DEFAULT_RETRIES",

@@ -288,6 +288,8 @@ class StoreServer:
                     "orphan_tmps_removed": report.orphan_tmps_removed,
                     "corrupt_objects_removed":
                         report.corrupt_objects_removed,
+                    "stale_format_objects_removed":
+                        report.stale_format_objects_removed,
                     "journal_bytes_truncated":
                         report.journal_bytes_truncated,
                     "journal_entries_dropped":

@@ -1,15 +1,18 @@
 """Versioned artifact serialization for the persistent store.
 
 Every on-disk artifact is a small JSON header line followed by a pickle
-payload.  The header carries the store format version, the artifact
-*kind* (netlist, schedule, bitstream, softcore binary, link
-configuration, …) and a SHA-256 digest of the payload; readers re-hash
-the payload and refuse anything that does not match, so a truncated or
-bit-flipped cache file degrades to a miss instead of poisoning a build.
+payload.  The header carries the store format version, the content
+key, the artifact *kind* (netlist, schedule, bitstream, softcore
+binary, link configuration, …) and a SHA-256 digest over a canonical
+encoding of those three fields plus the payload.  Readers recompute it
+and refuse anything that does not match, so a truncated or bit-flipped
+cache file — header or payload — degrades to a miss instead of
+poisoning a build.
 
 Bumping :data:`STORE_VERSION` invalidates old files wholesale — a
-version mismatch is treated as a miss, never as an error, so upgrading
-the toolflow silently falls back to a cold rebuild.
+version mismatch (:class:`~repro.errors.StaleFormatError`) is treated
+as a miss, never as an error, so upgrading the toolflow silently falls
+back to a cold rebuild.  Version 1 digests covered the payload only.
 """
 
 from __future__ import annotations
@@ -19,13 +22,24 @@ import json
 import pickle
 from typing import Any, Iterable, List, Tuple
 
-from repro.errors import StoreError
+from repro.errors import StaleFormatError, StoreError
 
 #: On-disk format version.  Bump when artefact classes change shape.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Header/payload separator (the header is a single JSON line).
 _SEP = b"\n"
+
+
+#: Header kind of each cached artefact class, by class name.
+_KINDS = {
+    "Netlist": "netlist",
+    "Schedule": "schedule",
+    "Bitstream": "bitstream",
+    "CompiledOperator": "softcore-binary",
+    "LinkConfiguration": "link-configuration",
+    "ImplementationResult": "implementation",
+}
 
 
 def artifact_kind(artifact: Any) -> str:
@@ -33,29 +47,22 @@ def artifact_kind(artifact: Any) -> str:
 
     The kind is metadata for humans and reports; lookups are keyed
     purely by content hash, so an unknown type is fine ("object").
+    Matching names rather than classes keeps every encode from
+    importing the six packages that define them.
     """
-    from repro.fabric.bitstream import Bitstream
-    from repro.hls.netlist import Netlist
-    from repro.hls.schedule import Schedule
-    from repro.noc.linking import LinkConfiguration
-    from repro.pnr.compile_model import ImplementationResult
-    from repro.softcore.compiler import CompiledOperator
+    kind = _KINDS.get(type(artifact).__name__)
+    if kind is not None:
+        return kind
+    return "bundle" if isinstance(artifact, tuple) else "object"
 
-    if isinstance(artifact, Netlist):
-        return "netlist"
-    if isinstance(artifact, Schedule):
-        return "schedule"
-    if isinstance(artifact, Bitstream):
-        return "bitstream"
-    if isinstance(artifact, CompiledOperator):
-        return "softcore-binary"
-    if isinstance(artifact, LinkConfiguration):
-        return "link-configuration"
-    if isinstance(artifact, ImplementationResult):
-        return "implementation"
-    if isinstance(artifact, tuple):
-        return "bundle"
-    return "object"
+
+def _digest(version: Any, key: Any, kind: Any, payload: bytes) -> str:
+    """SHA-256 over the canonical header fields, then the payload."""
+    head = json.dumps({"version": version, "key": key, "kind": kind},
+                      sort_keys=True)
+    digest = hashlib.sha256(head.encode() + _SEP)
+    digest.update(payload)
+    return digest.hexdigest()
 
 
 def encode_artifact(key: str, artifact: Any) -> bytes:
@@ -66,11 +73,12 @@ def encode_artifact(key: str, artifact: Any) -> bytes:
         raise StoreError(
             f"artifact {key!r} ({type(artifact).__name__}) is not "
             f"serializable: {exc}") from exc
+    kind = artifact_kind(artifact)
     header = {
         "version": STORE_VERSION,
         "key": key,
-        "kind": artifact_kind(artifact),
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "kind": kind,
+        "sha256": _digest(STORE_VERSION, key, kind, payload),
     }
     return json.dumps(header, sort_keys=True).encode() + _SEP + payload
 
@@ -79,8 +87,9 @@ def decode_artifact(data: bytes, expect_key: str = "") -> Tuple[str, Any]:
     """Parse, verify and unpickle one stored artefact.
 
     Returns ``(kind, artifact)``.  Raises :class:`StoreError` on any
-    integrity problem: bad header, version mismatch, digest mismatch
-    (the payload re-hash), wrong key, or an unpicklable payload.
+    integrity problem: bad header, version mismatch (as its subclass
+    :class:`StaleFormatError`), digest mismatch (the header-and-payload
+    re-hash), wrong key, or an unpicklable payload.
     """
     head, sep, payload = data.partition(_SEP)
     if not sep:
@@ -96,14 +105,15 @@ def decode_artifact(data: bytes, expect_key: str = "") -> Tuple[str, Any]:
             f"corrupt artifact header: {type(header).__name__}, "
             f"expected object")
     if header.get("version") != STORE_VERSION:
-        raise StoreError(
+        raise StaleFormatError(
             f"store version mismatch: file has "
             f"{header.get('version')!r}, tool speaks {STORE_VERSION}")
     if expect_key and header.get("key") != expect_key:
         raise StoreError(
             f"artifact key mismatch: file claims {header.get('key')!r}, "
             f"expected {expect_key!r}")
-    digest = hashlib.sha256(payload).hexdigest()
+    digest = _digest(STORE_VERSION, header.get("key"), header.get("kind"),
+                     payload)
     if digest != header.get("sha256"):
         raise StoreError(
             f"artifact {header.get('key')!r} failed its integrity "

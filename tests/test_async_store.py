@@ -14,12 +14,8 @@ import pytest
 
 from repro.errors import StoreUnavailableError
 from repro.store import ArtifactStore
-from repro.store.remote import (
-    AsyncShardClient,
-    AsyncShardedStoreClient,
-    ShardedStoreClient,
-    StoreServer,
-)
+from repro.store.remote import ShardedStoreClient, StoreServer
+from repro.store.remote.aio import AsyncShardClient, AsyncShardedStoreClient
 
 
 def run(coro):

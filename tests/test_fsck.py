@@ -15,9 +15,10 @@ from repro.resilience import (
     journal_path,
     load_journal,
 )
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, decode_artifact
 
 from tests.test_core_flows import EFFORT, make_project
+from tests.test_store import encode_v1
 
 
 def _warm_store(cache_dir):
@@ -79,6 +80,34 @@ class TestFsck:
         assert second.clean
         assert second.defects_found == 0
         assert "clean" in second.summary()
+
+    def test_old_format_objects_count_as_stale_not_corrupt(self, tmp_path):
+        store = _warm_store(tmp_path)
+        arts = sorted((tmp_path / "objects").glob("*/*.art"))
+        for path in arts[:2]:
+            _kind, artifact = decode_artifact(path.read_bytes())
+            path.write_bytes(encode_v1(path.stem, artifact))
+        arts[2].write_bytes(arts[2].read_bytes()[:10])
+
+        report = fsck_store(tmp_path)
+        assert report.stale_format_objects_removed == 2
+        assert report.corrupt_objects_removed == 1
+        assert report.journal_entries_dropped == 3   # their completions
+        assert report.defects_found == 6
+        stale = [a for a in report.actions if "stale-format" in a]
+        assert len(stale) == 2 and "version mismatch" in stale[0]
+        assert not any(path.exists() for path in arts[:3])
+        assert len(list(store.keys())) == len(arts) - 3
+        assert fsck_store(tmp_path).clean
+
+    def test_store_reads_an_old_format_object_as_a_miss(self, tmp_path):
+        store = ArtifactStore(cache_dir=tmp_path)
+        key = "cc" + "0" * 22
+        store.put(key, {"x": 1})
+        path = next((tmp_path / "objects").glob("*/*.art"))
+        path.write_bytes(encode_v1(key, {"x": 1}))
+        assert ArtifactStore(cache_dir=tmp_path).get(key) is None
+        assert not path.exists()
 
     def test_resume_after_fsck_rebuilds_only_the_healed_step(self, tmp_path):
         _warm_store(tmp_path)

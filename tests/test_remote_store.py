@@ -237,6 +237,7 @@ class TestServerProtocol:
         client = ShardClient(shard.url)
         response, _ = client.request("fsck", extra={"grace": 0})
         assert response["ok"] and response["report"]["clean"]
+        assert response["report"]["stale_format_objects_removed"] == 0
         client.close()
 
     def test_unknown_op(self, shard):

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ServiceError, TransportError
-from repro.service import ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.core import (CompileService, RequestOutcome,
                                 ServiceConfig)
 from repro.service.daemon import ServeDaemon, serve

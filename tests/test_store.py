@@ -7,12 +7,14 @@ hypothesis property that content keys are deterministic over generated
 operator specs — the fact the cross-process cache rests on.
 """
 
+import hashlib
+import json
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import StoreError
+from repro.errors import StaleFormatError, StoreError
 from repro.core.build import BuildCache, BuildEngine, content_key
 from repro.fabric.bitstream import Bitstream
 from repro.hls import OperatorBuilder
@@ -40,6 +42,14 @@ def make_spec(name="k", factor=3, extra_vars=0):
     v = b.read("x")
     b.write("y", b.cast(b.mul(v, factor), 32))
     return b.build()
+
+
+def encode_v1(key, artifact):
+    """Store format 1, whose digest covered the payload only."""
+    payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+    header = {"version": 1, "key": key, "kind": artifact_kind(artifact),
+              "sha256": hashlib.sha256(payload).hexdigest()}
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
 
 
 def _two_op_graph():
@@ -104,8 +114,23 @@ class TestSerialization:
         head, sep, payload = data.partition(b"\n")
         head = head.replace(f'"version": {STORE_VERSION}'.encode(),
                             f'"version": {STORE_VERSION + 1}'.encode())
-        with pytest.raises(StoreError):
+        with pytest.raises(StaleFormatError):
             decode_artifact(head + sep + payload, expect_key="k1")
+        with pytest.raises(StaleFormatError, match="version mismatch"):
+            decode_artifact(encode_v1("k1", "payload"), expect_key="k1")
+
+    @pytest.mark.parametrize("field,value", [
+        ("kind", " bject"), ("kind", "netlist"), ("key", "k2")])
+    def test_header_fields_are_covered_by_the_digest(self, field, value):
+        """A header edit that keeps the payload intact still fails the
+        re-hash: the digest covers version, key and kind too."""
+        head, sep, payload = encode_artifact("k1", {"v": 1}).partition(
+            b"\n")
+        header = json.loads(head)
+        header[field] = value
+        tampered = json.dumps(header, sort_keys=True).encode()
+        with pytest.raises(StoreError, match="integrity re-hash"):
+            decode_artifact(tampered + sep + payload)
 
     def test_unpicklable_artifact_rejected(self):
         with pytest.raises(StoreError):
@@ -299,6 +324,8 @@ class TestSerialFuzz:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=200), st.binary(max_size=8))
+    # The header's "kind" corrupted to " bject" once decoded as success.
+    @example(cut=37, extra=b" ")
     def test_mutated_valid_encoding(self, cut, extra):
         """Truncations/suffixes of a real encoding decode fully or fail
         structurally — no exception outside StoreError."""
