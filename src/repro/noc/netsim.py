@@ -19,11 +19,12 @@ per-cycle :class:`SwitchId` construction and routing geometry.  The
 tables are pure caches — results are bit-identical to the naive
 geometry walk, which the equivalence tests assert.
 
-Two engines step the network (see :mod:`repro.simengine`):
+Two routers step the network, and the simulator picks one from the
+tree's leaf count (:data:`BATCHED_MIN_LEAVES`):
 
-* ``scalar`` — the reference loop above: one dict/list operation per
-  packet per cycle.
-* ``vector`` — all in-flight packets live in numpy columns
+* scalar — the reference loop above: one dict/list operation per
+  packet per cycle.  Cheapest on small trees.
+* batched — all in-flight packets live in numpy columns
   (slot/dest/age/hops, plus an index into a stable packet-object
   store); routing class selection, age-ordered arbitration (a stable
   ``lexsort`` reproduces the scalar per-switch sort exactly) and
@@ -31,7 +32,7 @@ Two engines step the network (see :mod:`repro.simengine`):
   cycle Python touches only actual deliveries and injections, so the
   cost is ~flat in the in-flight count — the win grows with network
   size.  Deliveries, deflection counts, latencies and fault outcomes
-  are bit-identical to the scalar engine (pinned by the equivalence
+  are bit-identical to the scalar router (pinned by the equivalence
   tests).
 """
 
@@ -45,7 +46,6 @@ from repro.errors import DeadlockError, NoCError
 from repro.noc.bft import BFTopology, SwitchId
 from repro.noc.leaf import LeafInterface
 from repro.noc.packet import AckPacket, DataPacket, Packet
-from repro.simengine import VECTOR, resolve_engine
 from repro.trace import NULL_TRACER
 
 #: Output slot identifiers: ("up", k) | ("down", child_side)
@@ -53,6 +53,14 @@ _UP = "up"
 _DOWN = "down"
 
 _AGE = operator.attrgetter("age")
+
+#: Trees with at least this many leaves (``BFTopology.size``, padded to
+#: a power of two) step on the batched router.  The measured drain
+#: crossover (8 ports, 30 packets per leaf; EXPERIMENTS.md) lies
+#: between 64 leaves (batched 0.84x of scalar speed) and 128 leaves
+#: (1.36x), so U50 (32) and U280 (64) stay scalar and VU19P (128) goes
+#: batched.
+BATCHED_MIN_LEAVES = 128
 
 
 @dataclass
@@ -82,14 +90,12 @@ class NetworkSimulator:
             events on the ``noc`` lane (with the cycle they happened
             at), so a flaky network is visible in the same trace as the
             build that ran over it.
-        engine: simulation engine (``scalar``/``vector``); ``None``
-            resolves through :func:`repro.simengine.resolve_engine`.
     """
 
     def __init__(self, topology: BFTopology,
                  leaves: Optional[Dict[int, LeafInterface]] = None,
                  faults=None, watchdog_cycles: int = 50_000,
-                 tracer=None, engine: Optional[str] = None):
+                 tracer=None):
         if topology.up_links != 1:
             raise NoCError(
                 "the cycle simulator models the paper's modest single "
@@ -122,8 +128,8 @@ class NetworkSimulator:
         self._accepted_events = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._retrans_seen = 0
-        self.engine = resolve_engine(engine)
-        self._vector = self.engine == VECTOR
+        #: Whether this tree steps on the batched (numpy) router.
+        self.batched = topology.size >= BATCHED_MIN_LEAVES
         self._build_tables()
 
     def attach(self, iface: LeafInterface) -> None:
@@ -191,10 +197,10 @@ class NetworkSimulator:
         self._ifaces = tuple(self.leaves.values())
         self._reliable_ifaces = tuple(
             iface for iface in self.leaves.values() if iface.reliable)
-        if self._vector:
-            self._build_vector_tables()
+        if self.batched:
+            self._build_batched_tables()
 
-    def _build_vector_tables(self) -> None:
+    def _build_batched_tables(self) -> None:
         """Recast the routing tables as numpy columns.
 
         Slot ids index ``_slot_switch`` (arrival-switch row, or -1 when
@@ -237,7 +243,7 @@ class NetworkSimulator:
         # Per-leaf tables for the delivery/injection loops.  ``pos`` is
         # the leaf's position in _leaf_entries: scalar injections enter
         # next_flight in that order, and each leaf injects at most one
-        # packet per cycle, so sorting vector injections by pos
+        # packet per cycle, so sorting batched injections by pos
         # reproduces the scalar insertion order exactly.
         size = self.topology.size
         by_no = [self.leaves[i] for i in range(size)]
@@ -269,8 +275,8 @@ class NetworkSimulator:
 
     def step(self) -> None:
         """Advance one clock cycle."""
-        if self._vector:
-            self._step_vector()
+        if self.batched:
+            self._step_batched()
         else:
             self._step_scalar()
 
@@ -341,7 +347,7 @@ class NetworkSimulator:
         self.cycle = cycle + 1
         self._service_reliability()
 
-    def _step_vector(self) -> None:
+    def _step_batched(self) -> None:
         """One cycle over the numpy flight columns.
 
         The in-flight set is four aligned int64 columns (slot, dest,
@@ -360,7 +366,7 @@ class NetworkSimulator:
         age = self._vage
         hops = self._vhops
         dest = self._vdest
-        # Bounce fast path: the scalar engine's deliver()/push_front()/
+        # Bounce fast path: the scalar router's deliver()/push_front()/
         # pop_injection() round-trip for a mis-deflected packet at a
         # non-reliable, fault-free leaf reduces to ``bounced += 1;
         # sent += 1`` and the packet re-entering flight on that leaf's
@@ -640,13 +646,13 @@ class NetworkSimulator:
         return self._accepted_events
 
     def _has_in_flight(self) -> bool:
-        if self._vector:
+        if self.batched:
             return self._vpidx.size > 0
         return bool(self._in_flight)
 
     def _in_flight_items(self) -> List[Tuple[int, Packet]]:
-        """(slot id, packet) pairs for diagnostics, either engine."""
-        if self._vector:
+        """(slot id, packet) pairs for diagnostics, either router."""
+        if self.batched:
             store = self._vstore
             return [(sid, store[p]) for sid, p in
                     zip(self._vslot.tolist(), self._vpidx.tolist())]

@@ -96,7 +96,7 @@ def characterize(pattern: Pattern, n_leaves: int = 16,
         interval = max(1, round(1.0 / rate))
         remaining = {src: packets_per_leaf for src in range(n_leaves)}
         cycle = 0
-        while any(remaining.values()) or sim._in_flight or any(
+        while any(remaining.values()) or sim._has_in_flight() or any(
                 leaves[i].outbox for i in range(n_leaves)):
             if cycle % interval == 0:
                 for src in range(n_leaves):

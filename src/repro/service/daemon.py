@@ -78,8 +78,7 @@ from repro.service.core import (CompileRequest, CompileService,
 _SUBMIT_FIELDS = {
     "app": str, "flow": str, "effort": float, "tenant": str,
     "session": str, "priority": str, "deadline": float, "cost": int,
-    "resume": bool, "seed": int, "sim_engine": str,
-    "edit_operator": str,
+    "resume": bool, "seed": int, "edit_operator": str,
     "edit_tag": str, "crash_at_step": int, "crash_point": str,
 }
 

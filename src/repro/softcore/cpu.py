@@ -12,27 +12,13 @@ become stream requests serviced by the graph simulators.
 Cycle costs follow the unpipelined PicoRV32 (the paper's area-efficient
 choice): roughly 4 cycles per ALU op, 5 for memory and taken branches,
 and a slow iterative divider.
-
-Engines (see :mod:`repro.simengine`): the ``scalar`` engine fetches,
-looks up and dispatches one instruction per :meth:`PicoRV32.step`.  The
-``vector`` engine adds a basic-block cache — straight-line runs are
-decoded once into a fused handler list keyed by the head pc and
-replayed without per-instruction fetch checks or cache lookups.
-Architectural state, cycle counts and retired-instruction counts are
-bit-identical to the scalar engine; :meth:`PicoRV32.step` itself always
-executes exactly one instruction.  The block cache is invalidated on
-:meth:`load_image`, on the fault-trap image restore, and on stores
-into the cached code span (self-modifying stores); the per-address
-decode cache is deliberately left alone on stores, matching the scalar
-engine's decode-once-per-pc semantics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import SoftcoreError, TrapError
-from repro.simengine import VECTOR, resolve_engine
 from repro.softcore.isa import Instruction, decode
 
 #: Memory-mapped stream port bases (one word per port).
@@ -59,17 +45,6 @@ PIPELINED_CYCLES = {
 
 _M32 = 0xFFFFFFFF
 
-#: Basic-block cache: instructions per block before forcing a cut.
-_BB_CAP = 64
-
-#: Mnemonics that end a basic block (pc leaves the straight line).
-_BB_TERMINATORS = frozenset((
-    "beq", "bne", "blt", "bge", "bltu", "bgeu",
-    "jal", "jalr", "ebreak",
-))
-
-_BB_STORES = frozenset(("sw", "sh", "sb"))
-
 
 def _s32(value: int) -> int:
     value &= _M32
@@ -90,15 +65,12 @@ class PicoRV32:
         core_id: stable name keying this core's fault draws.
         max_trap_restarts: restarts :meth:`run` attempts before
             re-raising an injected trap.
-        engine: simulation engine (``scalar``/``vector``); ``None``
-            resolves through :func:`repro.simengine.resolve_engine`.
     """
 
     def __init__(self, memory_bytes: int = 64 * 1024,
                  cycles: Optional[Dict[str, int]] = None,
                  faults=None, core_id: str = "core0",
-                 max_trap_restarts: int = 3,
-                 engine: Optional[str] = None):
+                 max_trap_restarts: int = 3):
         if not (1024 <= memory_bytes <= MAX_MEMORY_BYTES):
             raise SoftcoreError(
                 f"memory {memory_bytes} outside 1KB..192KB page budget")
@@ -116,19 +88,6 @@ class PicoRV32:
         self.injected_traps = 0
         self.restarts = 0
         self._image_snapshot: Optional[bytes] = None
-        self.engine = resolve_engine(engine)
-        self._vector = self.engine == VECTOR
-        # Basic-block cache (vector engine): head pc -> list of
-        # (instr, handler, is_store, clears_x0) entries, plus the code
-        # span the cached blocks cover so stores into it invalidate.
-        self._bb_cache: Dict[int, List[Tuple]] = {}
-        self._bb_lo: Optional[int] = None
-        self._bb_hi = 0
-        self._bb_dirty = False
-        if self._vector:
-            # Instance attribute shadows the method: the scalar engine
-            # keeps the unwatched store path with zero overhead.
-            self._store = self._store_watched
 
     # -- memory ------------------------------------------------------------
 
@@ -138,15 +97,7 @@ class PicoRV32:
                 f"image of {len(image)} bytes at {base:#x} exceeds "
                 f"{len(self.memory)}-byte memory")
         self.memory[base:base + len(image)] = image
-        if self._vector:
-            # decode() is a pure function of the word, so entries
-            # outside the overwritten range are still valid; keeping
-            # them (and the block cache, when its span is disjoint)
-            # lets operator frames — which reload only the data
-            # segment — keep their warm code caches.
-            self._invalidate_range(base, base + len(image))
-        else:
-            self._decode_cache.clear()
+        self._decode_cache.clear()
         # Snapshot the as-loaded memory so an injected trap can restore
         # pristine state before restarting the program.
         self._image_snapshot = bytes(self.memory)
@@ -189,79 +140,6 @@ class PicoRV32:
         self.instructions_retired += 1
         return request
 
-    def _step_block(self):
-        """Execute up to one basic block (vector engine).
-
-        Replays the fused handler list for the block at ``pc``.  Exits
-        early — with the same architectural state the scalar engine
-        would have — on an MMIO request, a halt, or a self-modifying
-        store that invalidated the cache; the next call resumes at the
-        updated pc (mid-block pcs simply become new block heads).
-        """
-        if self.halted:
-            raise SoftcoreError("stepping a halted core")
-        pc = self.pc
-        block = self._bb_cache.get(pc)
-        if block is None:
-            self._check_mem(pc, 4)
-            block = self._build_block(pc)
-            self._bb_cache[pc] = block
-        regs = self.regs
-        retired = 0
-        try:
-            for entry in block:
-                request = entry[1](self, entry[0])
-                retired += 1
-                if entry[3]:
-                    regs[0] = 0
-                if request is not None:
-                    return request
-                if entry[2] and self._bb_dirty:
-                    self._bb_dirty = False
-                    return None
-            return None
-        finally:
-            self.instructions_retired += retired
-
-    def _build_block(self, head: int) -> List[Tuple]:
-        """Decode the straight-line run starting at ``head``.
-
-        Shares the per-address decode cache with the scalar path.  An
-        undecodable word ends the block without being included: the
-        error surfaces only if execution actually reaches it, exactly
-        as lazy scalar decoding would.
-        """
-        entries: List[Tuple] = []
-        mem_end = len(self.memory)
-        dc = self._decode_cache
-        addr = head
-        while addr + 4 <= mem_end and len(entries) < _BB_CAP:
-            entry = dc.get(addr)
-            if entry is None:
-                try:
-                    instr = decode(self._read_word(addr))
-                except SoftcoreError:
-                    if not entries:
-                        raise    # scalar step() would raise here too
-                    break
-                entry = (instr, _HANDLERS.get(instr.mnemonic, _h_unknown))
-                dc[addr] = entry
-            mnemonic = entry[0].mnemonic
-            # The x0-clear is only observable when a handler can write
-            # regs[0], i.e. when the decoded rd is 0 (branches/stores
-            # decode rd=0 too — the extra clear is a harmless no-op).
-            entries.append((entry[0], entry[1],
-                            mnemonic in _BB_STORES,
-                            entry[0].rd == 0))
-            addr += 4
-            if mnemonic in _BB_TERMINATORS:
-                break
-        if self._bb_lo is None or head < self._bb_lo:
-            self._bb_lo = head
-        if addr > self._bb_hi:
-            self._bb_hi = addr
-        return entries
-
     def _execute(self, i: Instruction):
         """Execute one decoded instruction (dispatch table)."""
         return _HANDLERS.get(i.mnemonic, _h_unknown)(self, i)
@@ -299,34 +177,6 @@ class PicoRV32:
         self.memory[addr:addr + size] = (value & ((1 << (8 * size)) - 1)
                                          ).to_bytes(size, "little")
 
-    def _store_watched(self, m: str, addr: int, value: int) -> None:
-        """Vector-engine store: invalidate blocks on self-modification.
-
-        Only the block cache is flushed — the per-address decode cache
-        keeps its entries, exactly like the scalar engine, which never
-        re-decodes an already-executed pc.
-        """
-        PicoRV32._store(self, m, addr, value)
-        lo = self._bb_lo
-        if lo is not None and lo <= addr < self._bb_hi:
-            self._flush_blocks()
-            self._bb_dirty = True
-
-    def _flush_blocks(self) -> None:
-        self._bb_cache.clear()
-        self._bb_lo = None
-        self._bb_hi = 0
-
-    def _invalidate_range(self, lo: int, hi: int) -> None:
-        """Drop cached decodes/blocks overlapping ``[lo, hi)``."""
-        dc = self._decode_cache
-        stale = [addr for addr in dc if lo <= addr < hi]
-        for addr in stale:
-            del dc[addr]
-        if self._bb_lo is not None and lo < self._bb_hi \
-                and hi > self._bb_lo:
-            self._flush_blocks()
-
     # -- drivers --------------------------------------------------------------
 
     def run(self, max_instructions: int = 10_000_000) -> int:
@@ -344,10 +194,6 @@ class PicoRV32:
             trap_at = None if self.faults is None else \
                 self.faults.trap_point(self.core_id, attempt)
             start = self.instructions_retired
-            # Armed fault traps need the per-instruction trap-point
-            # check, so they always run on the scalar stepper.
-            stepper = self._step_block \
-                if self._vector and trap_at is None else self.step
             try:
                 while not self.halted:
                     if self.instructions_retired >= max_instructions:
@@ -363,7 +209,7 @@ class PicoRV32:
                             f"injected spurious trap on {self.core_id} "
                             f"(attempt {attempt})",
                             pc=self.pc, injected=True)
-                    request = stepper()
+                    request = self.step()
                     if request is not None:
                         raise SoftcoreError(
                             f"stream access {request} outside a "
@@ -378,7 +224,6 @@ class PicoRV32:
                 if self._image_snapshot is not None:
                     self.memory[:] = self._image_snapshot
                     self._decode_cache.clear()
-                    self._flush_blocks()
                 self.reset()
 
     def run_as_operator(self, io, in_ports: List[str], out_ports: List[str],
@@ -390,7 +235,6 @@ class PicoRV32:
         values) and runs the program to ``ebreak``.  Stream MMIO becomes
         blocking reads/writes on the named ports.
         """
-        stepper = self._step_block if self._vector else self.step
         while True:
             if data_image:
                 self.load_image(data_image, data_base)
@@ -401,7 +245,7 @@ class PicoRV32:
                         > max_instructions_per_frame):
                     raise SoftcoreError("softcore frame exceeded "
                                         "instruction budget")
-                request = stepper()
+                request = self.step()
                 if request is None:
                     continue
                 if request[0] == "read":

@@ -117,6 +117,20 @@ class TestCrashTolerantRun:
             bench.run_suites(["no-such-suite"], repeats=1,
                              out=io.StringIO())
 
+    def test_unknown_suite_rejected_before_any_suite_runs(self,
+                                                          monkeypatch):
+        ran = []
+
+        def counting_suite(quick=False, registry=None):
+            ran.append(1)
+            return 0.001, {}
+
+        monkeypatch.setattr(bench, "SUITES", {"ok": counting_suite})
+        with pytest.raises(SystemExit, match="'kernel_annealer'"):
+            bench.run_suites(["ok", "kernel_annealer"], repeats=1,
+                             out=io.StringIO())
+        assert ran == []
+
     def test_traced_run_spans_each_repeat(self, monkeypatch):
         monkeypatch.setattr(bench, "SUITES", {"ok": _ok_suite})
         tracer = Tracer()

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.noc import netsim
 from repro.noc.bft import BFTopology, SwitchId
 from repro.noc.leaf import LeafInterface
 from repro.noc.netsim import NetworkSimulator
@@ -323,12 +324,12 @@ class TestReferenceEquivalence:
 
 
 def _golden_drain(n_leaves, n_ports, per_leaf, seed, reliable=False,
-                  fault_plan=None, engine=None):
+                  fault_plan=None):
     leaves = _make_leaves(n_leaves, n_ports, per_leaf, seed, reliable)
     sim = NetworkSimulator(
         BFTopology(n_leaves), leaves,
-        faults=fault_plan.noc_faults() if fault_plan else None,
-        engine=engine)
+        faults=fault_plan.noc_faults() if fault_plan else None)
+    assert sim.batched == (netsim.BATCHED_MIN_LEAVES == 0)
     cycles = sim.run(max_cycles=2_000_000)
     records = [(r.payload, r.latency, r.hops) for r in sim.delivered]
     stats = {leaf: (iface.received, iface.bounced, iface.sent,
@@ -339,42 +340,40 @@ def _golden_drain(n_leaves, n_ports, per_leaf, seed, reliable=False,
     return cycles, sim.total_deflections, records, stats
 
 
-#: Both engines must reproduce every pinned golden — the bit-identical
-#: contract behind sharing one artifact cache across engines.
-_ENGINES = ["scalar", "vector"]
+@pytest.fixture(params=[1 << 30, 0], ids=["scalar", "vector"])
+def noc_router(request, monkeypatch):
+    """Force both NoC routers whatever the leaf count: a huge threshold
+    keeps every tree scalar, zero puts every tree on the batched
+    (numpy-vectorised) router.  Both must reproduce every golden."""
+    monkeypatch.setattr(netsim, "BATCHED_MIN_LEAVES", request.param)
 
 
+@pytest.mark.usefixtures("noc_router")
 class TestGoldenNoC:
     """Frozen outputs captured from the pre-optimisation simulator."""
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_drain_small(self, engine):
-        cycles, deflections, records, stats = _golden_drain(
-            16, 4, 60, 7, engine=engine)
+    def test_drain_small(self):
+        cycles, deflections, records, stats = _golden_drain(16, 4, 60, 7)
         assert cycles == 312
         assert deflections == 3817
         assert len(records) == 960
         assert _sha16(records) == "e7f0e5fb5c963eae"
         assert _sha16(sorted(stats.items())) == "2790e17254d99daf"
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_drain_mid(self, engine):
-        cycles, deflections, records, stats = _golden_drain(
-            32, 4, 100, 3, engine=engine)
+    def test_drain_mid(self):
+        cycles, deflections, records, stats = _golden_drain(32, 4, 100, 3)
         assert cycles == 1161
         assert deflections == 43348
         assert len(records) == 3200
         assert _sha16(records) == "8f18c85aca854d47"
         assert _sha16(sorted(stats.items())) == "52b695d1fabe0a2a"
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_reliable_drain(self, engine):
+    def test_reliable_drain(self):
         from repro.faults import FaultPlan
         plan = FaultPlan(seed=11, noc_drop_rate=0.01,
                          noc_corrupt_rate=0.005)
         cycles, deflections, records, stats = _golden_drain(
-            16, 2, 50, 11, reliable=True, fault_plan=plan,
-            engine=engine)
+            16, 2, 50, 11, reliable=True, fault_plan=plan)
         assert cycles == 1206
         assert deflections == 20694
         assert len(records) == 800
@@ -405,15 +404,13 @@ class TestGoldenCycleSim:
 
 
 class TestGoldenSoftcore:
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_o0_execution(self, engine):
+    def test_o0_execution(self):
         """The table-driven decode must replay the original ISS run."""
         from repro.core import BuildEngine, O0Flow
         from repro.rosetta import get_app
 
         app = get_app("digit-recognition")
-        build = O0Flow(effort=0.1, sim_engine=engine).compile(
-            app.project, BuildEngine())
+        build = O0Flow(effort=0.1).compile(app.project, BuildEngine())
         outputs = build.execute(app.project.sample_inputs)
         cycles = build.softcore_cycles()
         assert outputs == {"Output_1": [7, 9, 5]}
@@ -422,8 +419,7 @@ class TestGoldenSoftcore:
 
 
 class TestGoldenPnR:
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_place_and_route_case(self, engine):
+    def test_place_and_route_case(self):
         """One pinned annealer + PathFinder run (seeded RNG stream)."""
         from repro.fabric.shell import Overlay
         from repro.hls.estimate import estimate_operator
@@ -442,7 +438,7 @@ class TestGoldenPnR:
         grid = list(Overlay().pages)[0].page_type.grid()
 
         placement = place(pack_netlist(netlist), grid, seed=2,
-                          effort=0.15, engine=engine)
+                          effort=0.15)
         stats = placement.stats
         assert (stats.moves_evaluated, stats.moves_accepted,
                 stats.temperatures, stats.initial_cost,

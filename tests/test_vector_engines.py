@@ -1,13 +1,12 @@
-"""Scalar/vector engine equivalence and big-device scaling tests.
+"""NoC router equivalence and big-device scaling tests.
 
-The ``sim_engine`` knob (:mod:`repro.simengine`) selects between the
-original scalar interpreters — the golden reference — and their
-numpy-backed vector twins for the three hottest simulation kernels:
-the deflection-routed NoC, the annealing placer and the softcore ISS.
-The contract is **bit identity**: same cycles, same delivered records,
-same placements, same architectural state, under any seed.  These
-tests sweep that contract with hypothesis and pin the new scaled
-multi-SLR fabrics (U280, VU19P) with content digests.
+:class:`NetworkSimulator` steps small trees on the scalar router — the
+golden reference — and trees of at least ``BATCHED_MIN_LEAVES`` leaves
+on the batched numpy router.  The contract is **bit identity**: same
+cycles, same delivered records, same deflections, under any seed.
+These tests force each router by patching the threshold, sweep that
+contract with hypothesis, and pin the scaled multi-SLR fabrics (U280,
+VU19P) with content digests.
 """
 
 from __future__ import annotations
@@ -15,119 +14,46 @@ from __future__ import annotations
 import hashlib
 import random
 from typing import Dict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import simengine
 from repro.errors import FabricError, NoCError
 from repro.fabric import (Overlay, XCU50, XCU280, XCVU19P,
                           scaled_floorplan)
+from repro.noc import netsim
 from repro.noc.bft import BFTopology
 from repro.noc.leaf import LeafInterface
 from repro.noc.netsim import NetworkSimulator
-from repro.simengine import (engine_scope, resolve_engine,
-                             set_default_engine, set_thread_engine)
 
 
 def _sha16(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-# --------------------------------------------------------------------------
-# knob resolution layering
-# --------------------------------------------------------------------------
-
-
-class TestEngineResolution:
-    def test_default_is_scalar(self):
-        assert resolve_engine() == "scalar"
-
-    def test_explicit_wins(self):
-        with engine_scope("scalar"):
-            assert resolve_engine("vector") == "vector"
-
-    def test_thread_scope_beats_process_default(self):
-        previous = set_default_engine("scalar")
-        try:
-            with engine_scope("vector"):
-                assert resolve_engine() == "vector"
-            assert resolve_engine() == "scalar"
-        finally:
-            set_default_engine(previous)
-
-    def test_process_default(self):
-        previous = set_default_engine("vector")
-        try:
-            assert resolve_engine() == "vector"
-        finally:
-            set_default_engine(previous)
-        assert resolve_engine() == "scalar"
-
-    def test_none_scope_is_noop(self):
-        with engine_scope("vector"):
-            with engine_scope(None) as resolved:
-                assert resolved == "vector"
-            assert resolve_engine() == "vector"
-
-    def test_scope_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with engine_scope("vector"):
-                raise RuntimeError("boom")
-        assert resolve_engine() == "scalar"
-
-    def test_nested_scopes(self):
-        with engine_scope("vector"):
-            with engine_scope("scalar"):
-                assert resolve_engine() == "scalar"
-            assert resolve_engine() == "vector"
-
-    def test_set_thread_engine_clear(self):
-        set_thread_engine("vector")
-        try:
-            assert resolve_engine() == "vector"
-        finally:
-            set_thread_engine(None)
-        assert resolve_engine() == "scalar"
-
-    @pytest.mark.parametrize("bad", ["numpy", "", "SCALAR"])
-    def test_unknown_engine_rejected(self, bad):
-        with pytest.raises(ValueError):
-            resolve_engine(bad)
-        with pytest.raises(ValueError):
-            set_default_engine(bad)
-        with pytest.raises(ValueError):
-            set_thread_engine(bad)
-
-    def test_service_rejects_unknown_engine(self, tmp_path):
-        from repro.errors import ServiceError
-        from repro.service.core import CompileService, ServiceConfig
-
-        service = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
-        try:
-            with pytest.raises(ServiceError) as err:
-                service.make_flow("o1", 0.1, sim_engine="numpy")
-            assert err.value.kind == "bad-request"
-            flow = service.make_flow("o1", 0.1, sim_engine="vector")
-            assert flow.sim_engine == "vector"
-        finally:
-            service.close()
+def _router(batched: bool):
+    """Force every simulator built in the block onto one router."""
+    return mock.patch.object(netsim, "BATCHED_MIN_LEAVES",
+                             0 if batched else 1 << 30)
 
 
 # --------------------------------------------------------------------------
-# NoC: scalar vs vector
+# NoC: scalar vs batched router
 # --------------------------------------------------------------------------
 
 
-def _drain_observables(engine: str, n_leaves: int, n_ports: int,
+def _drain_observables(batched: bool, n_leaves: int, n_ports: int,
                        per_leaf: int, seed: int,
                        reliable: bool = False, faults=None) -> Dict:
     rng = random.Random(seed)
     kwargs = dict(reliable=True, retransmit_timeout=32) if reliable else {}
     leaves = {i: LeafInterface(i, n_ports=n_ports, **kwargs)
               for i in range(n_leaves)}
-    sim = NetworkSimulator(BFTopology(n_leaves), leaves, faults=faults,
-                           engine=engine)
+    with _router(batched):
+        sim = NetworkSimulator(BFTopology(n_leaves), leaves,
+                               faults=faults)
+    assert sim.batched == batched
     for i in range(n_leaves):
         for p in range(n_ports):
             leaves[i].bind(p, rng.randrange(n_leaves), p)
@@ -158,11 +84,11 @@ class TestNoCEngineEquivalence:
            per_leaf=st.integers(min_value=1, max_value=25),
            seed=st.integers(min_value=0, max_value=9999))
     def test_drain_bit_identical(self, n_leaves, n_ports, per_leaf, seed):
-        scalar = _drain_observables("scalar", n_leaves, n_ports,
+        scalar = _drain_observables(False, n_leaves, n_ports,
                                     per_leaf, seed)
-        vector = _drain_observables("vector", n_leaves, n_ports,
-                                    per_leaf, seed)
-        assert scalar == vector
+        batched = _drain_observables(True, n_leaves, n_ports,
+                                     per_leaf, seed)
+        assert scalar == batched
         assert len(scalar["records"]) == n_leaves * per_leaf
 
     def test_reliable_drain_bit_identical(self):
@@ -172,121 +98,28 @@ class TestNoCEngineEquivalence:
             return FaultPlan(seed=13, noc_drop_rate=0.02,
                              noc_corrupt_rate=0.01).noc_faults()
 
-        scalar = _drain_observables("scalar", 8, 2, 15, seed=13,
+        scalar = _drain_observables(False, 8, 2, 15, seed=13,
                                     reliable=True, faults=plan())
-        vector = _drain_observables("vector", 8, 2, 15, seed=13,
-                                    reliable=True, faults=plan())
-        assert scalar == vector
+        batched = _drain_observables(True, 8, 2, 15, seed=13,
+                                     reliable=True, faults=plan())
+        assert scalar == batched
         assert len(scalar["records"]) == 8 * 15
 
-    def test_ambient_engine_used(self):
-        with engine_scope("vector"):
-            sim = NetworkSimulator(BFTopology(4),
-                                   {0: LeafInterface(0, 1)})
-        assert sim.engine == "vector"
+    def test_load_sweep_bit_identical(self):
+        from repro.noc.traffic import bit_complement, characterize
 
+        sweeps = {}
+        for batched in (False, True):
+            with _router(batched):
+                sweeps[batched] = characterize(
+                    bit_complement, n_leaves=8, rates=(0.2, 0.8),
+                    packets_per_leaf=10)
+        assert sweeps[False] == sweeps[True]
 
-# --------------------------------------------------------------------------
-# placer: scalar vs vector
-# --------------------------------------------------------------------------
-
-
-def _placement_fixture():
-    from repro.hls.estimate import estimate_operator
-    from repro.hls.netlist import synthesize_netlist
-    from repro.pnr.pack import pack_netlist
-    from repro.rosetta import get_app
-
-    app = get_app("digit-recognition")
-    op_name, op = next(iter(app.project.graph.operators.items()))
-    estimate = estimate_operator(op.hls_spec)
-    netlist = synthesize_netlist(
-        op_name, estimate, n_ports=len(op.inputs) + len(op.outputs))
-    grid = list(Overlay().pages)[0].page_type.grid()
-    return netlist, grid
-
-
-class TestPlacerEngineEquivalence:
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=500),
-           effort=st.sampled_from([0.05, 0.15, 0.3]))
-    def test_placements_bit_identical(self, seed, effort):
-        from repro.pnr.pack import pack_netlist
-        from repro.pnr.placer import place
-
-        netlist, grid = _placement_fixture()
-        runs = {}
-        for engine in simengine.ENGINES:
-            placement = place(pack_netlist(netlist), grid, seed=seed,
-                              effort=effort, engine=engine)
-            stats = placement.stats
-            runs[engine] = (list(placement.locations),
-                            stats.moves_evaluated, stats.moves_accepted,
-                            stats.temperatures,
-                            round(stats.initial_cost, 9),
-                            round(stats.final_cost, 9))
-        assert runs["scalar"] == runs["vector"]
-
-
-# --------------------------------------------------------------------------
-# softcore ISS: scalar vs vector
-# --------------------------------------------------------------------------
-
-
-def _iss_spec(tokens: int):
-    from repro.hls import OperatorBuilder
-
-    b = OperatorBuilder("vmix", inputs=[("a", 32), ("b", 32)],
-                        outputs=[("o", 32)])
-    with b.loop("L", tokens, pipeline=True):
-        x = b.read("a")
-        y = b.read("b")
-        s = b.add(x, y)
-        d = b.sub(x, y)
-        p = b.mul(b.cast(x, 16), b.cast(y, 16))
-        q = b.div(x, b.or_(y, 1))
-        r = b.mod(x, b.or_(y, 3))
-        b.write("o", b.cast(b.xor(b.and_(s, d), b.add(b.or_(p, q), r)),
-                            32))
-    return b.build()
-
-
-def _iss_observables(engine: str, spec, inputs) -> Dict:
-    from repro.dataflow import DataflowGraph, Operator, run_graph
-    from repro.softcore import compile_operator
-
-    compiled = compile_operator(spec)
-    telemetry: Dict[str, object] = {}
-    op = Operator(spec.name,
-                  compiled.make_body(telemetry=telemetry, engine=engine),
-                  spec.input_ports, spec.output_ports)
-    g = DataflowGraph(f"eq_{spec.name}")
-    g.add(op)
-    for port in spec.input_ports:
-        g.expose_input(port, f"{spec.name}.{port}")
-    for port in spec.output_ports:
-        g.expose_output(port, f"{spec.name}.{port}")
-    outputs = run_graph(g, inputs)
-    cpu = telemetry[spec.name]
-    return {"outputs": outputs,
-            "retired": cpu.instructions_retired,
-            "regs": list(cpu.regs),
-            "pc": cpu.pc}
-
-
-class TestISSEngineEquivalence:
-    @settings(max_examples=12, deadline=None)
-    @given(data=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=0xFFFFFFFF),
-                  st.integers(min_value=0, max_value=0xFFFFFFFF)),
-        min_size=1, max_size=6))
-    def test_architectural_state_bit_identical(self, data):
-        spec = _iss_spec(len(data))
-        inputs = {"a": [a for a, _ in data], "b": [b for _, b in data]}
-        scalar = _iss_observables("scalar", spec, inputs)
-        vector = _iss_observables("vector", spec, inputs)
-        assert scalar == vector
-        assert len(scalar["outputs"]["o"]) == len(data)
+    def test_router_picked_from_leaf_count(self):
+        assert netsim.BATCHED_MIN_LEAVES == 128
+        assert not NetworkSimulator(BFTopology(64)).batched
+        assert NetworkSimulator(BFTopology(128)).batched
 
 
 # --------------------------------------------------------------------------
@@ -395,14 +228,15 @@ class TestMultiSLRTopology:
 
     def test_scaled_drain_on_overlay_topology(self):
         # End-to-end: a non-power-of-two leaf count (41) drains cleanly
-        # under both engines with identical observables.
+        # on both routers with identical observables.
         topo = BFTopology.for_overlay(Overlay.for_device(XCU280))
         results = {}
-        for engine in simengine.ENGINES:
+        for batched in (False, True):
             rng = random.Random(7)
             leaves = {i: LeafInterface(i, n_ports=2)
                       for i in range(topo.n_leaves)}
-            sim = NetworkSimulator(topo, leaves, engine=engine)
+            with _router(batched):
+                sim = NetworkSimulator(topo, leaves)
             for i in range(topo.n_leaves):
                 for p in range(2):
                     leaves[i].bind(p, rng.randrange(topo.n_leaves), p)
@@ -414,7 +248,7 @@ class TestMultiSLRTopology:
             if records and not isinstance(records[0], tuple):
                 records = [(r.payload, r.latency, r.hops)
                            for r in records]
-            results[engine] = (cycles, list(records),
-                               sim.total_deflections)
-        assert results["scalar"] == results["vector"]
-        assert len(results["scalar"][1]) == topo.n_leaves * 5
+            results[batched] = (cycles, list(records),
+                                sim.total_deflections)
+        assert results[False] == results[True]
+        assert len(results[False][1]) == topo.n_leaves * 5
