@@ -35,14 +35,20 @@ that fires an ``asyncio.Event`` via ``call_soon_threadsafe``, so 64+
 concurrent waiters cost 64 events, not 64 of the executor's ~32
 threads.
 
-With ``--store`` the daemon fronts a shard fleet: the service's
-:class:`~repro.store.remote.ShardedStoreClient` is shared with build
-workers, while the daemon's own traffic — periodic write-behind
-reconciles, the final reconcile-on-close, per-shard health probes for
-``stats`` — rides an :class:`~repro.store.remote.aio.AsyncShardedStoreClient`
-facade natively on the loop.  Tenant tokens (``--token T=SECRET``)
-gate ``submit`` with ``kind="auth"`` errors so per-tenant quotas
-cannot be bypassed by lying about the tenant field.
+With ``--store`` the daemon fronts a shard fleet through the service's
+one :class:`~repro.store.remote.ShardedStoreClient`, shared with build
+workers.  The daemon's own store traffic runs on that sync client, off
+the loop: ``start`` launches the client's background reconciler thread
+(every ``reconcile_interval`` seconds; ``store.close()`` joins it),
+``stats`` probes shard health with ``ping_all`` on an executor thread,
+and stop runs one last reconcile there.  ``ping_all`` probes the shards
+one after another: a refused connection fails at once, but a hung
+shard costs up to the client timeout (5 s by default) per hung shard,
+which an operator command off the request path can afford.
+
+Tenant tokens (``--token T=SECRET``) gate ``submit`` with
+``kind="auth"`` errors so per-tenant quotas cannot be bypassed by
+lying about the tenant field.
 
 State (store, session journals, leases) lives under ``--state DIR``; a
 daemon killed mid-build and restarted over the same directory finds
@@ -67,7 +73,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (DeadlineExceeded, PLDError, ServiceError,
                           StoreError)
-from repro.store.remote.aio import AsyncShardedStoreClient
 from repro.store.remote.framing import (recv_frame_async,
                                         send_frame_async)
 from repro.service.core import (CompileRequest, CompileService,
@@ -198,17 +203,17 @@ class ServeDaemon:
         #: Per-frame read/write budget (seconds) once a frame starts —
         #: the slow-loris guard.  Idle keep-alive waits stay unbounded.
         self.frame_timeout = frame_timeout
+        #: The service's sharded store client; None for a local store.
+        self._fleet = service.store \
+            if hasattr(service.store, "ping_all") else None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping = asyncio.Event()
         self._started = time.monotonic()
-        self._store_async: Optional[AsyncShardedStoreClient] = None
-        self._reconcile_task: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
         self.connections = 0
         self.active_connections = 0
         self.rejected_connections = 0
         self.requests = 0
-        self.reconciled = 0
         #: Clients currently parked in ``result`` (and the high-water
         #: mark) — each costs one asyncio.Event, never a thread.
         self.waiters = 0
@@ -349,8 +354,8 @@ class ServeDaemon:
             "total": self.connections,
             "rejected": self.rejected_connections,
             "max": self.max_connections}
-        if self._store_async is not None:
-            health = await self._store_async.ping_all()
+        if self._fleet is not None:
+            health = await self._call(self._fleet.ping_all)
             stats["shard_health"] = health
             stats["shards_up"] = sum(1 for up in health.values() if up)
         return stats, b""
@@ -450,38 +455,11 @@ class ServeDaemon:
                     asyncio.CancelledError):
                 pass
 
-    # -- the async store path ------------------------------------------------
-
-    async def _reconcile_loop(self) -> None:
-        """Background write-behind drain over asyncio sockets — owed
-        puts reach a healed shard without parking executor threads."""
-        assert self._store_async is not None
-        while not self._stopping.is_set():
-            await asyncio.sleep(self.reconcile_interval)
-            try:
-                self.reconciled += await self._store_async.reconcile()
-            except StoreError:
-                pass                      # next pass retries
-
-    async def _close_store_async(self) -> None:
-        """Reconcile-on-close: settle write-behind debts before the
-        streams go away.  The sync client underneath stays open — the
-        service's own close() runs its final sync reconcile too."""
-        if self._store_async is None:
-            return
-        try:
-            self.reconciled += await self._store_async.reconcile()
-        except StoreError:
-            pass
-        await self._store_async.close()
-        self._store_async = None
-
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
-        store = self.service.store
-        if store is not None and hasattr(store, "fresh_get"):
-            self._store_async = AsyncShardedStoreClient.over(store)
+        if self._fleet is not None and self.reconcile_interval > 0:
+            self._fleet.start_reconciler(self.reconcile_interval)
         self._server = await asyncio.start_server(
             self._handle, host=self.host, port=self.port)
         sockname = self._server.sockets[0].getsockname()
@@ -489,9 +467,6 @@ class ServeDaemon:
         return sockname[0], sockname[1]
 
     async def serve_until_stopped(self) -> None:
-        if self._store_async is not None and self.reconcile_interval:
-            self._reconcile_task = asyncio.create_task(
-                self._reconcile_loop())
         await self._stopping.wait()
         if self._drain_task is not None and not self._drain_task.done():
             # A shutdown op raced an in-progress drain; the stop wins.
@@ -501,14 +476,13 @@ class ServeDaemon:
             except asyncio.CancelledError:
                 pass
             self._drain_task = None
-        if self._reconcile_task is not None:
-            self._reconcile_task.cancel()
+        if self._fleet is not None:
+            # Settle write-behind debts now; the client stays open for
+            # its owner, the service, whose close joins the reconciler.
             try:
-                await self._reconcile_task
-            except asyncio.CancelledError:
+                await self._call(self._fleet.reconcile)
+            except StoreError:
                 pass
-            self._reconcile_task = None
-        await self._close_store_async()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

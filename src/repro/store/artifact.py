@@ -124,6 +124,15 @@ class ArtifactStore:
                 f"store backend cannot create {path.parent}: "
                 f"{exc}") from exc
         data = encode_artifact(key, artifact)
+        try:
+            if path.read_bytes() == data:
+                # Already durable: re-staging identical bytes would pay
+                # an fsync and an os.replace over a live file for
+                # nothing.  A changed or corrupt file differs, so it is
+                # still replaced below.
+                return
+        except OSError:
+            pass
         # Atomic, durable publish: fsync before the rename so a crash
         # right after os.replace can't leave an empty file behind the
         # final name, and a reader never sees a half-written artefact.

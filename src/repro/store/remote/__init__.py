@@ -10,9 +10,10 @@ breakers with quarantine and half-open probes, hedged reads, and a
 degraded mode where a dead shard means slower compiles (local cache
 misses), never failed ones.
 
-The asyncio facade lives in :mod:`repro.store.remote.aio` and is not
-re-exported here: a client that only reads or writes a few objects
-must not pay for importing ``asyncio``.
+:class:`ShardedStoreClient` is the one store client.  It is
+synchronous; the ``pld serve`` daemon runs its reconcile and health
+probes on a thread, off the event loop, so the retry, breaker and
+reconcile policy exists once.
 """
 
 from repro.store.remote.client import (

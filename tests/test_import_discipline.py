@@ -20,7 +20,6 @@ FOREIGN = (
     "multiprocessing",
     "concurrent.futures.process",
     "numpy",
-    "repro.store.remote.aio",
     "repro.service.daemon",
     "repro.platform",
 )

@@ -267,6 +267,13 @@ class TestRetries:
         assert 0.01 <= sleeps[0] <= 0.02
         assert 0.02 <= sleeps[1] <= 0.04
 
+    def test_single_retry_override(self):
+        client = ShardClient("tcp://127.0.0.1:1", retries=5,
+                             backoff_base=0.001, timeout=0.2)
+        with pytest.raises(StoreUnavailableError):
+            client.request("ping", retries=1)
+        assert client.attempts == 1
+
     def test_backoff_jitter_is_deterministic(self):
         def run():
             sleeps = []
@@ -636,6 +643,44 @@ class TestHedgedReads:
         client = fast_client(urls)
         assert client._hedge_threshold() is None
         client.close()
+
+
+# --------------------------------------------------------------------------
+# hot tier and introspection
+# --------------------------------------------------------------------------
+
+
+class TestFreshReadsAndHealth:
+    def test_fresh_get_sees_peer_republish(self, fleet):
+        """The hot tier must not shadow a mutable key a *different*
+        client republished — the bug class fresh_get exists for."""
+        urls = [server.url for server in fleet]
+        a = fast_client(urls)
+        b = fast_client(urls)
+        try:
+            a.put("session-meta:dev", {"epoch": 1})
+            assert a.get("session-meta:dev") == {"epoch": 1}
+            b.put("session-meta:dev", {"epoch": 2})
+            # Plain get serves a's stale hot-tier copy...
+            assert a.get("session-meta:dev") == {"epoch": 1}
+            # ...fresh_get goes to the owning shard.
+            assert a.fresh_get("session-meta:dev") == {"epoch": 2}
+        finally:
+            a.close()
+            b.close()
+
+    def test_ping_all_reports_per_shard_health(self, fleet):
+        client = fast_client([server.url for server in fleet], retries=1)
+        try:
+            health = client.ping_all()
+            assert all(health.values()) and len(health) == 3
+            victim_url = fleet[1].url
+            fleet[1].stop()
+            health = client.ping_all()
+            assert health[victim_url] is False
+            assert sum(1 for up in health.values() if up) == 2
+        finally:
+            client.close()
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.flows import FLOWS
 from repro.errors import FlowError, ServiceError
 from repro.service import (
     CompileRequest,
@@ -65,6 +66,11 @@ class TestTickets:
                 service.result(ticket, timeout=60)
             assert service.status(ticket)["state"] == "failed"
 
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    def test_make_flow_honours_seed(self, flow):
+        with CompileService(ServiceConfig()) as service:
+            assert service.make_flow(flow, EFFORT, seed=5).seed == 5
+
     def test_submit_after_close_rejected(self):
         service = CompileService(ServiceConfig())
         service.close()
@@ -82,7 +88,6 @@ class TestManifestParity:
     def test_oneshot_matches_inline_engine(self, tmp_path):
         # The pre-service CLI wiring, spelled out by hand.
         from repro.core import BuildEngine
-        from repro.core.flows import FLOWS
         from repro.store import ArtifactStore
 
         engine = BuildEngine(

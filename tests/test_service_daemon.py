@@ -509,7 +509,7 @@ class TestFleetDaemon:
             holder["thread"].join(timeout=30)
             assert not holder["thread"].is_alive()
             # The daemon's close-path reconcile settled the debt...
-            assert holder["daemon"].reconciled >= len(owed)
+            assert store.reconciled >= len(owed)
             with store._pending_lock:
                 assert not store.pending.get(victim_url)
             assert set(owed) <= set(revived.store.keys())
@@ -522,6 +522,44 @@ class TestFleetDaemon:
                 revived.stop()
             _stop_daemon(holder)
             service.close()
+
+    def test_background_reconcile_drains_before_shutdown(self, tmp_path,
+                                                         fleet):
+        """With a reconcile interval the running daemon — not only its
+        stop path — pushes write-behind debt to a revived shard."""
+        urls = [s.url for s in fleet]
+        service = _fleet_service(tmp_path, urls)
+        store = service.store
+        store.breaker.cooldown_seconds = 0.2
+        victim = fleet[0]
+        victim_url = victim.url
+        host, port = victim.address
+        victim.stop()
+        revived = holder = None
+        try:
+            owed = [key for key in (f"owed:{i}" for i in range(40))
+                    if store.shard_for(key) == victim_url]
+            assert owed
+            for key in owed:
+                store.put(key, {"k": key})
+            assert store.stats()["pending"][victim_url] == len(owed)
+            revived = StoreServer(ArtifactStore(cache_dir=None),
+                                  host=host, port=port).start()
+            holder = _start_daemon(service, reconcile_interval=0.05)
+            for _ in range(200):
+                if not store.stats()["pending"]:
+                    break
+                time.sleep(0.05)
+            assert store.stats()["pending"] == {}
+            assert holder["thread"].is_alive()   # drained while serving
+            assert store.reconciled >= len(owed)
+            assert set(owed) <= set(revived.store.keys())
+        finally:
+            if holder is not None:
+                _stop_daemon(holder)
+            service.close()
+            if revived is not None:
+                revived.stop()
 
 
 class TestDisconnectWaiterCleanup:

@@ -170,6 +170,36 @@ class TestDiskBackend:
         fresh.put(key, {"payload": 1})
         assert ArtifactStore(cache_dir=tmp_path).get(key) == {"payload": 1}
 
+    def test_identical_reput_leaves_file_alone(self, tmp_path):
+        store = ArtifactStore(cache_dir=tmp_path)
+        key = content_key("same")
+        store.put(key, {"payload": 1})
+        path = store._path(key)
+        inode = path.stat().st_ino
+        store.put(key, {"payload": 1})
+        assert path.stat().st_ino == inode
+        assert store.stats()["disk_writes"] == 1
+
+    def test_changed_value_replaces_file(self, tmp_path):
+        store = ArtifactStore(cache_dir=tmp_path)
+        key = content_key("session-meta")
+        store.put(key, {"epoch": 1})
+        store.put(key, {"epoch": 2})
+        assert store.stats()["disk_writes"] == 2
+        assert ArtifactStore(cache_dir=tmp_path).get(key) == {"epoch": 2}
+
+    def test_put_heals_corrupt_file(self, tmp_path):
+        store = ArtifactStore(cache_dir=tmp_path)
+        key = content_key("heal")
+        store.put(key, {"payload": 1})
+        path = store._path(key)
+        path.write_bytes(path.read_bytes()[:-4] + b"zzzz")
+        store.put(key, {"payload": 1})
+        assert store.stats()["disk_writes"] == 2
+        fresh = ArtifactStore(cache_dir=tmp_path)
+        assert fresh.get(key) == {"payload": 1}
+        assert fresh.corrupt == 0
+
     def test_memory_only_store_works(self):
         store = ArtifactStore()
         store.put("k", "v")
